@@ -47,7 +47,7 @@ func (c *sinkConn) Write(p []byte) (int, error) {
 func (c *sinkConn) Read(p []byte) (int, error) { return 0, io.EOF }
 func (c *sinkConn) Close() error               { return nil }
 
-func mustPkg(b *testing.B, src string, ctx core.Context, external bool) plugin.Package {
+func mustPkg(b testing.TB, src string, ctx core.Context, external bool) plugin.Package {
 	b.Helper()
 	prog, err := vm.Assemble(src)
 	if err != nil {
@@ -763,65 +763,107 @@ func padSource(target int) string {
 	return sb.String()
 }
 
-// BenchmarkExtA_InstallLatency measures the end-to-end installation of a
-// plug-in on the remote ECU: ECM distribution, ISO-TP segmentation over
-// CAN, PIRTE install, ack back. sim-us/op is the simulated install
-// latency, which grows with binary size (frame count over the 500 kbit/s
-// bus).
-func BenchmarkExtA_InstallLatency(b *testing.B) {
-	for _, size := range []int{256, 4 << 10, 64 << 10} {
-		b.Run(fmt.Sprintf("size=%dB", size), func(b *testing.B) {
-			src := padSource(size)
-			ctx := core.Context{
-				PIC: core.PIC{{Name: "in", ID: 30}, {Name: "out", ID: 31}},
-				PLC: core.PLC{{Kind: core.LinkNone, Plugin: 30}, {Kind: core.LinkNone, Plugin: 31}},
-			}
-			pkg := mustPkg(b, src, ctx, false)
-			raw, err := pkg.MarshalBinary()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(raw)))
+// installRig installs and removes a padded plug-in on the remote ECU of
+// a model car: ECM distribution, ISO-TP segmentation over CAN, PIRTE
+// install, ack back.
+type installRig struct {
+	car *vehicle.ModelCar
+	eng *sim.Engine
+	raw []byte
+}
 
-			eng := sim.NewEngine()
-			car, err := vehicle.NewModelCar(eng, "VIN-A")
-			if err != nil {
-				b.Fatal(err)
-			}
-			car.ECM.SetDialer(ecm.DialerFunc(func(string) (io.ReadWriteCloser, error) {
-				return &sinkConn{}, nil
-			}))
-			if err := car.ECM.ConnectServer(&sinkConn{}, car.ID); err != nil {
-				b.Fatal(err)
-			}
+func newInstallRig(tb testing.TB, size int) *installRig {
+	tb.Helper()
+	ctx := core.Context{
+		PIC: core.PIC{{Name: "in", ID: 30}, {Name: "out", ID: 31}},
+		PLC: core.PLC{{Kind: core.LinkNone, Plugin: 30}, {Kind: core.LinkNone, Plugin: 31}},
+	}
+	raw, err := mustPkg(tb, padSource(size), ctx, false).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := sim.NewEngine()
+	car, err := vehicle.NewModelCar(eng, "VIN-A")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	car.ECM.SetDialer(ecm.DialerFunc(func(string) (io.ReadWriteCloser, error) {
+		return &sinkConn{}, nil
+	}))
+	if err := car.ECM.ConnectServer(&sinkConn{}, car.ID); err != nil {
+		tb.Fatal(err)
+	}
+	return &installRig{car: car, eng: eng, raw: raw}
+}
+
+// install runs one install and returns its simulated latency, polled at
+// 10 ms, then uninstalls again so the next call starts from the same
+// state.
+func (r *installRig) install(seq uint32) sim.Duration {
+	msg := core.Message{Type: core.MsgInstall, Plugin: "padded",
+		ECU: vehicle.ECU2, SWC: vehicle.SWC2, Seq: seq, Payload: r.raw}
+	start := r.eng.Now()
+	r.car.ECM.HandleServerMessage(msg)
+	for {
+		if _, ok := r.car.SWC2PIRTE.Plugin("padded"); ok {
+			break
+		}
+		r.eng.RunFor(10 * sim.Millisecond)
+	}
+	took := sim.Duration(r.eng.Now() - start)
+	un := core.Message{Type: core.MsgUninstall, Plugin: "padded",
+		ECU: vehicle.ECU2, SWC: vehicle.SWC2, Seq: seq}
+	r.car.ECM.HandleServerMessage(un)
+	for {
+		if _, ok := r.car.SWC2PIRTE.Plugin("padded"); !ok {
+			break
+		}
+		r.eng.RunFor(10 * sim.Millisecond)
+	}
+	return took
+}
+
+// extASizes are the package sizes of the installation benchmark with
+// their simulated install latency, which grows with the frame count over
+// the 500 kbit/s bus.
+var extASizes = []struct {
+	size  int
+	simUS sim.Duration
+}{{256, 30_000}, {4 << 10, 170_000}, {64 << 10, 2_470_000}}
+
+// BenchmarkExtA_InstallLatency measures the end-to-end installation of a
+// plug-in on the remote ECU. sim-us/op is the simulated install latency;
+// TestExtAInstallSimLatency pins it.
+func BenchmarkExtA_InstallLatency(b *testing.B) {
+	for _, c := range extASizes {
+		b.Run(fmt.Sprintf("size=%dB", c.size), func(b *testing.B) {
+			rig := newInstallRig(b, c.size)
+			b.SetBytes(int64(len(rig.raw)))
+			// One untimed install grows the queues and pools to their
+			// steady size, so allocs/op does not depend on b.N.
+			rig.install(0)
 			var totalSim sim.Duration
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				msg := core.Message{Type: core.MsgInstall, Plugin: "padded",
-					ECU: vehicle.ECU2, SWC: vehicle.SWC2, Seq: uint32(i), Payload: raw}
-				start := eng.Now()
-				car.ECM.HandleServerMessage(msg)
-				for {
-					if _, ok := car.SWC2PIRTE.Plugin("padded"); ok {
-						break
-					}
-					eng.RunFor(10 * sim.Millisecond)
-				}
-				totalSim += sim.Duration(eng.Now() - start)
-				// Remove again for the next iteration (not timed as part
-				// of the interesting path, but cheap and simulated).
-				un := core.Message{Type: core.MsgUninstall, Plugin: "padded",
-					ECU: vehicle.ECU2, SWC: vehicle.SWC2, Seq: uint32(i)}
-				car.ECM.HandleServerMessage(un)
-				for {
-					if _, ok := car.SWC2PIRTE.Plugin("padded"); !ok {
-						break
-					}
-					eng.RunFor(10 * sim.Millisecond)
-				}
+			for i := 1; i <= b.N; i++ {
+				totalSim += rig.install(uint32(i))
 			}
 			b.ReportMetric(float64(totalSim)/float64(b.N), "sim-us/op")
 		})
+	}
+}
+
+// TestExtAInstallSimLatency pins the simulated install latency of
+// BenchmarkExtA_InstallLatency. It counts CAN frames in wire time, so a
+// change in frame order or segmentation fails here rather than only
+// moving a benchmark figure. Repeated installs must cost the same.
+func TestExtAInstallSimLatency(t *testing.T) {
+	for _, c := range extASizes {
+		rig := newInstallRig(t, c.size)
+		for i := range 2 {
+			if got := rig.install(uint32(i)); got != c.simUS {
+				t.Errorf("%d B install %d: %d sim-us, want %d", c.size, i, got, c.simUS)
+			}
+		}
 	}
 }
 

@@ -22,6 +22,14 @@
 //     regression here means the bytecode optimizer or the fusion rules
 //     lost ground — e.g. the optimized sum loop sliding back toward its
 //     unoptimized instruction count — not measurement noise.
+//   - sim-us/op and sim-us/frame (simulated time on the discrete-event
+//     clock) are gated exactly: any change, up or down, fails. They
+//     count CAN frames in wire time, so a move means the frame order,
+//     segmentation or timing model changed, and the baseline must be
+//     regenerated on purpose.
+//   - the 64 KiB install's ns/op is at most 20x the 4 KiB one's in the
+//     same run, on every machine: OTA install must stay linear in
+//     package size.
 //   - ns/op is gated at -max-regress (default 10%) only when the
 //     baseline was recorded on the same CPU model; across machines the
 //     wall-clock comparison is reported but informational, because a
@@ -35,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"runtime"
@@ -44,8 +53,23 @@ import (
 )
 
 // tier1Bench selects the benchmarks the gate watches: the paper's
-// figure benchmarks, the VM overhead pair and the sustained data plane.
-const tier1Bench = "BenchmarkFig1|BenchmarkFig3|BenchmarkExtB|BenchmarkSustainedDataPlane"
+// figure benchmarks, OTA install latency, the VM overhead pair, the CAN
+// substrate and the sustained data plane.
+const tier1Bench = "BenchmarkFig1|BenchmarkFig3|BenchmarkExtA_InstallLatency|BenchmarkExtB|BenchmarkExtE_|BenchmarkSustainedDataPlane"
+
+// exactUnits are the deterministic simulated-time metrics compare pins
+// to the baseline value.
+var exactUnits = []string{"sim-us/op", "sim-us/frame"}
+
+// The 64 KiB install may take at most maxInstallScaling times the 4 KiB
+// one's ns/op in the same fresh run: OTA install must stay linear in
+// package size. Machine speed cancels out of the ratio, so this gates on
+// every runner.
+const (
+	install4K         = "BenchmarkExtA_InstallLatency/size=4096B"
+	install64K        = "BenchmarkExtA_InstallLatency/size=65536B"
+	maxInstallScaling = 20
+)
 
 // File is the JSON shape of one benchmark run.
 type File struct {
@@ -194,18 +218,24 @@ func cmdCompare(args []string) {
 		os.Exit(2)
 	}
 
-	base := readFile(*basePath)
-	fresh := readFile(*newPath)
+	if !compare(readFile(*basePath), readFile(*newPath), *maxRegress, os.Stdout) {
+		os.Exit(1)
+	}
+}
+
+// compare gates fresh against base, writing one line per finding and per
+// ns/op comparison to w, and reports whether the gate passed.
+func compare(base, fresh File, maxRegress float64, w io.Writer) bool {
 	sameCPU := base.CPU != "" && base.CPU == fresh.CPU
 	if !sameCPU {
-		fmt.Printf("perfgate: baseline CPU %q != current %q; ns/op is informational, allocs/op and vm-instr/op still gate\n",
+		fmt.Fprintf(w, "perfgate: baseline CPU %q != current %q; ns/op is informational, allocs/op, vm-instr/op and sim-us still gate\n",
 			base.CPU, fresh.CPU)
 	}
 
 	failed := false
 	fail := func(format string, args ...any) {
 		failed = true
-		fmt.Printf("FAIL  "+format+"\n", args...)
+		fmt.Fprintf(w, "FAIL  "+format+"\n", args...)
 	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -236,25 +266,42 @@ func cmdCompare(args []string) {
 				fail("%s: vm-instr/op grew %.0f -> %.0f (deterministic count, no budget)", name, bi, ni)
 			}
 		}
+		for _, unit := range exactUnits {
+			if bs, ok := bm[unit]; ok {
+				if ns, ok := nm[unit]; !ok || ns != bs {
+					fail("%s: %s %v -> %v (deterministic, must match exactly)", name, unit, bs, nm[unit])
+				}
+			}
+		}
 		if bns, ok := bm["ns/op"]; ok && bns > 0 {
 			nns := nm["ns/op"]
 			ratio := nns / bns
 			verdict := "ok  "
-			if ratio > 1+*maxRegress {
+			if ratio > 1+maxRegress {
 				if sameCPU {
 					fail("%s: ns/op regressed %.1f -> %.1f (%.2fx > %.2fx budget)",
-						name, bns, nns, ratio, 1+*maxRegress)
+						name, bns, nns, ratio, 1+maxRegress)
 					continue
 				}
 				verdict = "warn"
 			}
-			fmt.Printf("%s  %-45s ns/op %10.1f -> %10.1f  (%.2fx)\n", verdict, name, bns, nns, ratio)
+			fmt.Fprintf(w, "%s  %-45s ns/op %10.1f -> %10.1f  (%.2fx)\n", verdict, name, bns, nns, ratio)
 		}
 	}
-	if failed {
-		os.Exit(1)
+	big, small := fresh.Benchmarks[install64K]["ns/op"], fresh.Benchmarks[install4K]["ns/op"]
+	switch ratio := big / small; {
+	case big == 0 || small == 0:
+		fail("%s / %s: ns/op missing from the fresh run", install64K, install4K)
+	case ratio > maxInstallScaling:
+		fail("%s: ns/op %.1fx the 4 KiB install (max %dx)", install64K, ratio, maxInstallScaling)
+	default:
+		fmt.Fprintf(w, "ok    %-45s ns/op %.1fx the 4 KiB install (max %dx)\n", install64K, ratio, maxInstallScaling)
 	}
-	fmt.Println("perfgate: gate passed")
+	if failed {
+		return false
+	}
+	fmt.Fprintln(w, "perfgate: gate passed")
+	return true
 }
 
 func readFile(path string) File {

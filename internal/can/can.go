@@ -17,7 +17,6 @@ package can
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dynautosar/internal/sim"
 )
@@ -149,7 +148,8 @@ type rxHandler struct {
 
 // pending is one queued transmission. The payload lives inline — CAN
 // frames carry at most MaxData bytes — so queueing never touches the
-// heap, regardless of burst size.
+// heap, regardless of burst size. Queued frames are ordered by (id, seq):
+// the lower id wins arbitration, and equal ids go by enqueue sequence.
 type pending struct {
 	id   uint32
 	seq  uint64
@@ -157,6 +157,11 @@ type pending struct {
 	ext  bool
 	rtr  bool
 	data [MaxData]byte
+}
+
+// before reports whether p wins arbitration over q.
+func (p *pending) before(q *pending) bool {
+	return p.id < q.id || (p.id == q.id && p.seq < q.seq)
 }
 
 // frameOver reconstructs the Frame around a caller-owned buffer.
@@ -167,8 +172,12 @@ func (p *pending) frameOver(buf []byte) Frame {
 
 // Node is one CAN controller attached to a bus.
 type Node struct {
-	bus   *Bus
-	name  string
+	bus  *Bus
+	name string
+	// queue is the transmit queue as a binary min-heap ordered by
+	// pending.before, so queue[0] is the node's arbitration candidate.
+	// The heap is hand-rolled over inline slots: container/heap would
+	// box every element in an interface and allocate on each Send.
 	queue []pending
 	rx    []rxHandler
 	// tec is the transmit error counter of the fault confinement model.
@@ -207,9 +216,58 @@ func (n *Node) Send(f Frame) error {
 	n.bus.seq++
 	p := pending{id: f.ID, seq: n.bus.seq, dlc: uint8(len(f.Data)), ext: f.Extended, rtr: f.RTR}
 	copy(p.data[:], f.Data)
-	n.queue = append(n.queue, p)
+	n.push(p)
 	n.bus.kick()
 	return nil
+}
+
+// push inserts p into the transmit queue, moving the hole up from the
+// end until p fits. A frame queued behind an equal id already sorts last
+// (its seq is the highest), so a same-id burst pushes in O(1).
+func (n *Node) push(p pending) {
+	q := append(n.queue, p)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = p
+	n.queue = q
+}
+
+// pop removes and returns the head of the transmit queue in O(log n):
+// the hole left at the root moves down to where the last frame fits.
+func (n *Node) pop() pending {
+	q := n.queue
+	head := q[0]
+	last := len(q) - 1
+	p := q[last]
+	q = q[:last]
+	n.queue = q
+	if last == 0 {
+		return head
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if r := child + 1; r < last && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&p) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = p
+	return head
 }
 
 // Bus is one CAN bus shared by several nodes.
@@ -307,33 +365,26 @@ func (b *Bus) kick() {
 }
 
 // arbitrate removes and returns the highest-priority pending frame across
-// all non-bus-off nodes: lowest id wins, ties resolved by enqueue order.
-// All queued frames compete, modelling controllers with multiple transmit
-// mailboxes whose internal arbitration also picks the lowest id first.
+// all non-bus-off nodes: the lowest id wins, equal ids go by enqueue
+// order, and an exact tie between nodes goes to the earlier-attached
+// one. All queued frames compete, modelling controllers with multiple
+// transmit mailboxes whose internal arbitration also picks the lowest id
+// first. Each queue is a heap, so only the nodes' heads are compared:
+// O(nodes) to pick the winner and O(log queue) to remove it.
 func (b *Bus) arbitrate() (pending, *Node, bool) {
-	var best *pending
-	var bestNode *Node
-	var bestIdx int
+	var best *Node
 	for _, n := range b.nodes {
-		if n.state == BusOff {
+		if n.state == BusOff || len(n.queue) == 0 {
 			continue
 		}
-		for i := range n.queue {
-			p := &n.queue[i]
-			if best == nil || p.id < best.id ||
-				(p.id == best.id && p.seq < best.seq) {
-				best = p
-				bestNode = n
-				bestIdx = i
-			}
+		if best == nil || n.queue[0].before(&best.queue[0]) {
+			best = n
 		}
 	}
 	if best == nil {
 		return pending{}, nil, false
 	}
-	p := *best
-	bestNode.queue = append(bestNode.queue[:bestIdx], bestNode.queue[bestIdx+1:]...)
-	return p, bestNode, true
+	return best.pop(), best, true
 }
 
 // finish applies fault injection and delivers or retransmits. Receive
@@ -357,7 +408,7 @@ func (b *Bus) finish(node *Node, p *pending) {
 			// place ahead of anything queued later with the same id.
 			requeued := *p
 			requeued.seq = 0
-			node.queue = append([]pending{requeued}, node.queue...)
+			node.push(requeued)
 		}
 		return
 	case Lose:
@@ -416,14 +467,4 @@ func (b *Bus) PendingFrames() int {
 		total += len(n.queue)
 	}
 	return total
-}
-
-// Nodes returns the attached node names in attach order.
-func (b *Bus) Nodes() []string {
-	names := make([]string, len(b.nodes))
-	for i, n := range b.nodes {
-		names[i] = n.name
-	}
-	sort.Strings(names)
-	return names
 }

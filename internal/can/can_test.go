@@ -276,3 +276,39 @@ func TestQuickArbitrationDeliversLowestFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAllocFreeDeepQueue pins steady-state Send plus delivery at zero
+// heap allocations while the transmit queue holds more than 10,000
+// frames, the depth a 64 KiB ISO-TP transfer builds.
+func TestAllocFreeDeepQueue(t *testing.T) {
+	const depth = 12_000
+	eng, bus := newBus(500_000)
+	tx := bus.AttachNode("TX")
+	rx := bus.AttachNode("RX")
+	delivered := 0
+	rx.OnReceive(MatchAll, func(Frame, sim.Time) { delivered++ })
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for range depth {
+		if err := tx.Send(Frame{ID: 0x600, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := [...]uint32{0x600, 0x5FF, 0x601, 0x600}
+	i := 0
+	step := func() {
+		i++
+		_ = tx.Send(Frame{ID: ids[i%len(ids)], Data: data})
+		for want := delivered + 1; delivered < want; {
+			eng.Step()
+		}
+	}
+	for range 100 {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("Send plus delivery at queue depth %d: %v allocs/op, want 0", tx.QueueLen(), allocs)
+	}
+	if tx.QueueLen() < 10_000 {
+		t.Fatalf("queue drained to %d frames", tx.QueueLen())
+	}
+}
