@@ -30,6 +30,10 @@
 //   - the 64 KiB install's ns/op is at most 20x the 4 KiB one's in the
 //     same run, on every machine: OTA install must stay linear in
 //     package size.
+//   - records/commit (the journaled deploy's group-commit amortization)
+//     must stay at or above half its baseline. Group commit depends on
+//     scheduling, so the count is bounded, not pinned; falling below
+//     half means the journal commits far more often than it should.
 //   - ns/op is gated at -max-regress (default 10%) only when the
 //     baseline was recorded on the same CPU model; across machines the
 //     wall-clock comparison is reported but informational, because a
@@ -54,12 +58,19 @@ import (
 
 // tier1Bench selects the benchmarks the gate watches: the paper's
 // figure benchmarks, OTA install latency, the VM overhead pair, the CAN
-// substrate and the sustained data plane.
-const tier1Bench = "BenchmarkFig1|BenchmarkFig3|BenchmarkExtA_InstallLatency|BenchmarkExtB|BenchmarkExtE_|BenchmarkSustainedDataPlane"
+// substrate, the sustained data plane and the journaled fleet deploy.
+const tier1Bench = "BenchmarkFig1|BenchmarkFig3|BenchmarkExtA_InstallLatency|BenchmarkExtB|BenchmarkExtE_|BenchmarkSustainedDataPlane|BenchmarkDeployJournaled"
 
 // exactUnits are the deterministic simulated-time metrics compare pins
 // to the baseline value.
 var exactUnits = []string{"sim-us/op", "sim-us/frame"}
+
+// recordsPerCommit may fall to minAmortization times its baseline
+// before the gate fails.
+const (
+	recordsPerCommit = "records/commit"
+	minAmortization  = 0.5
+)
 
 // The 64 KiB install may take at most maxInstallScaling times the 4 KiB
 // one's ns/op in the same fresh run: OTA install must stay linear in
@@ -193,7 +204,7 @@ func parseBench(out string) File {
 			}
 			unit := fields[i+1]
 			better := func(a, b float64) bool { return a < b }
-			if strings.HasSuffix(unit, "/s") { // throughput: higher is better
+			if strings.HasSuffix(unit, "/s") || unit == recordsPerCommit { // higher is better
 				better = func(a, b float64) bool { return a > b }
 			}
 			if prev, ok := metrics[unit]; !ok || better(v, prev) {
@@ -264,6 +275,13 @@ func compare(base, fresh File, maxRegress float64, w io.Writer) bool {
 			// benchmarks — falling back to the unoptimized count fails.
 			if ni := nm["vm-instr/op"]; ni > bi {
 				fail("%s: vm-instr/op grew %.0f -> %.0f (deterministic count, no budget)", name, bi, ni)
+			}
+		}
+		if br, ok := bm[recordsPerCommit]; ok {
+			if nr := nm[recordsPerCommit]; nr < br*minAmortization {
+				fail("%s: %s %.1f -> %.1f (below %.0f%% of the baseline)", name, recordsPerCommit, br, nr, 100*minAmortization)
+			} else {
+				fmt.Fprintf(w, "ok    %-45s %s %.1f -> %.1f (floor %.1f)\n", name, recordsPerCommit, br, nr, br*minAmortization)
 			}
 		}
 		for _, unit := range exactUnits {

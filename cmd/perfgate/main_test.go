@@ -52,3 +52,43 @@ func TestCompareGatesInstallScaling(t *testing.T) {
 		t.Error("gate passed a 64 KiB install at 20.4x the 4 KiB one")
 	}
 }
+
+func TestCompareGatesRecordsPerCommit(t *testing.T) {
+	const journaled = "BenchmarkDeployJournaled/wal/vehicles=1024"
+	withAmortization := func(v float64, set bool) File {
+		f := benchFile("other", 4e6, 2_470_000, 126)
+		f.Benchmarks[journaled] = map[string]float64{"ns/op": 1e9}
+		if set {
+			f.Benchmarks[journaled][recordsPerCommit] = v
+		}
+		return f
+	}
+	base := withAmortization(100, true)
+	for _, c := range []struct {
+		name string
+		got  float64
+		set  bool
+		pass bool
+	}{
+		{"unchanged", 100, true, true},
+		{"better", 180, true, true},
+		{"at half", 50, true, true},
+		{"below half", 49.9, true, false},
+		{"missing", 0, false, false},
+	} {
+		if got := compare(base, withAmortization(c.got, c.set), 0.10, io.Discard); got != c.pass {
+			t.Errorf("%s: gate passed = %v, want %v", c.name, got, c.pass)
+		}
+	}
+}
+
+func TestParseBenchKeepsBestAmortization(t *testing.T) {
+	out := `cpu: test
+BenchmarkDeployJournaled/wal/vehicles=1024-2   1   900000000 ns/op   80.0 records/commit
+BenchmarkDeployJournaled/wal/vehicles=1024-2   1   800000000 ns/op   95.5 records/commit
+`
+	m := parseBench(out).Benchmarks["BenchmarkDeployJournaled/wal/vehicles=1024"]
+	if m[recordsPerCommit] != 95.5 || m["ns/op"] != 800000000 {
+		t.Fatalf("merged %v, want the higher records/commit and the lower ns/op", m)
+	}
+}

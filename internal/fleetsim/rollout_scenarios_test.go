@@ -200,8 +200,8 @@ func TestStormDiskFullRecovery(t *testing.T) {
 }
 
 // TestStormSlowFsync drags every fsync out for the middle of the run: a
-// slow disk must stretch the group-commit window, not fail work or
-// drift state.
+// slow disk must only grow each group commit's batch (appenders pile up
+// behind the commit in flight), not fail work or drift state.
 func TestStormSlowFsync(t *testing.T) {
 	seed := scenarioSeed(t)
 	apps, err := FleetApps()

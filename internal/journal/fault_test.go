@@ -3,6 +3,7 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,9 +13,9 @@ import (
 
 // Fault-injection coverage for the commit path: a full disk makes the
 // journal fail sticky (with the failed tail truncated so disk state
-// matches the reported outcomes), and a slow fsync stretches the
-// adaptive commit window without losing anything. These are the hooks
-// the fleet simulator's chaos scenarios drive.
+// matches the reported outcomes), and a slow fsync grows the next
+// commit's batch without losing anything. These are the hooks the
+// fleet simulator's chaos scenarios drive.
 
 var errDiskFull = errors.New("write: no space left on device")
 
@@ -70,8 +71,9 @@ func TestFaultSyncErrSticky(t *testing.T) {
 }
 
 // TestFaultSlowFsync: a slow disk degrades throughput, not
-// correctness — every append still commits, and the measured sync
-// latency feeds the adaptive group-commit window.
+// correctness — every append still commits, and appenders arriving
+// while a slow commit is in flight pile into the next one instead of
+// each paying a fsync of their own.
 func TestFaultSlowFsync(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
@@ -80,9 +82,23 @@ func TestFaultSlowFsync(t *testing.T) {
 		syncs.Add(1)
 		return 2 * time.Millisecond
 	}})
-	for i := 0; i < 8; i++ {
-		if err := j.Append(UserAddedRec(core.UserID(fmt.Sprintf("slow%d", i)))).Wait(); err != nil {
-			t.Fatal(err)
+	const n = 16
+	start := make(chan struct{})
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			errs[i] = j.Append(UserAddedRec(core.UserID(fmt.Sprintf("slow%d", i)))).Wait()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 	if j.Err() != nil {
@@ -91,10 +107,13 @@ func TestFaultSlowFsync(t *testing.T) {
 	if syncs.Load() == 0 {
 		t.Fatal("sync delay hook never ran")
 	}
+	if st := j.Stats(); st.Appended != n || st.Flushes >= n {
+		t.Fatalf("%d records in %d commits: concurrent appenders did not share commits", st.Appended, st.Flushes)
+	}
 	j.Crash()
 	_, rec := mustOpen(t, dir, Options{})
-	if got := userIDs(rec.Records); len(got) != 8 {
-		t.Fatalf("recovered %d records, want 8", len(got))
+	if got := userIDs(rec.Records); len(got) != n {
+		t.Fatalf("recovered %d records, want %d", len(got), n)
 	}
 }
 

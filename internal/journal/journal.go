@@ -32,17 +32,22 @@ const (
 	maxRecordBytes = 64 << 20
 	// defaultSnapshotEvery compacts after this many records.
 	defaultSnapshotEvery = 4096
-	// defaultCommitDelay is the group-commit window.
-	defaultCommitDelay = 500 * time.Microsecond
 )
+
+// unwaitedCommitAfter bounds how long a record nobody waits for (op
+// bookkeeping, ack-path mirrors) stays buffered when no waited commit
+// comes to carry it; a var so tests can pin it.
+var unwaitedCommitAfter = 2 * time.Millisecond
 
 // Appender is the narrow interface the store and server emit mutation
 // records through. Append enqueues the record into the journal's write
 // buffer and returns immediately; the ticket resolves once the record
-// is durable (its batch has been written and fsynced). Callers that
-// need write-ahead semantics enqueue while holding the lock that
-// orders the mutation and Wait after releasing it; callers whose
-// records are advisory (operation bookkeeping) drop the ticket.
+// is durable (its batch has been written and fsynced), and waiting on
+// it is what asks for the commit. Callers that need write-ahead
+// semantics enqueue while holding the lock that orders the mutation
+// and Wait after releasing it; callers whose records are advisory
+// (operation bookkeeping) drop the ticket, and the record rides along
+// with the next waited commit.
 type Appender interface {
 	Append(rec Record) Ticket
 }
@@ -51,13 +56,19 @@ type Appender interface {
 // is already resolved with no error — what Nop hands out.
 type Ticket struct{ b *batch }
 
-// Wait blocks until the record's group commit completed and returns
-// its fsync outcome.
+// Wait asks the writer to commit the record's batch as soon as it is
+// free, blocks until that group commit completed and returns its fsync
+// outcome.
 func (t Ticket) Wait() error {
 	if t.b == nil {
 		return nil
 	}
-	<-t.b.done
+	select {
+	case <-t.b.done:
+	default:
+		t.b.j.wake()
+		<-t.b.done
+	}
 	return t.b.err
 }
 
@@ -73,6 +84,7 @@ func (Nop) Append(Record) Ticket { return Ticket{} }
 // shares a batch, and all their tickets settle with the same error on
 // one fsync.
 type batch struct {
+	j    *Journal
 	done chan struct{}
 	err  error
 }
@@ -83,15 +95,6 @@ type Options struct {
 	// records since the last snapshot; 0 means the default (4096),
 	// negative disables automatic compaction.
 	SnapshotEvery int
-	// CommitDelay is the group-commit window: after the first record of
-	// a batch arrives, the writer waits this long before syncing so
-	// concurrent — and near-concurrent — appenders share the fsync.
-	// Sparse arrivals (vehicle acks trickling in over a fleet-wide
-	// deploy) would otherwise each pay a full sync of their own; the
-	// window caps the worst-case added latency at CommitDelay per
-	// commit, well under a vehicle round-trip. 0 means the default
-	// (500µs), negative disables the delay.
-	CommitDelay time.Duration
 	// Logf receives journal diagnostics; nil disables.
 	Logf func(format string, args ...any)
 }
@@ -125,9 +128,14 @@ type Stats struct {
 
 // Journal is the write-ahead log with group commit and snapshot
 // compaction. One background writer goroutine owns the segment file:
-// appenders enqueue encoded frames under a short mutex and the writer
-// drains everything pending, writes it in one syscall and fsyncs once,
-// settling every waiting ticket together.
+// appenders enqueue encoded frames under a short mutex, and the writer
+// commits on demand — when a ticket is waited on (or Sync, Snapshot or
+// Close asks), it drains everything pending, writes it in one syscall
+// and fsyncs once, settling every ticket of the batch together. There
+// is no commit window: records arriving while a commit is in flight
+// join the next one, so batch size follows what each write + fsync +
+// ship costs. Records nobody waits for ride along with the next waited
+// commit, or go out alone after unwaitedCommitAfter.
 type Journal struct {
 	dir  string
 	opts Options
@@ -154,7 +162,6 @@ type Journal struct {
 	appended      uint64
 	flushes       uint64
 	lastSnapshot  time.Time
-	lastSync      time.Duration
 	snapWG        sync.WaitGroup
 
 	// fault, when set, injects disk failures into the commit path (see
@@ -169,8 +176,12 @@ type Journal struct {
 	durablePub int64
 
 	kick chan struct{}
-	quit chan struct{}
-	done chan struct{}
+	// unwaited fires unwaitedCommitAfter after a batch opens, so its
+	// records commit even if nobody waits for them; armed by Append,
+	// stopped when flush takes the batch, both under mu.
+	unwaited *time.Timer
+	quit     chan struct{}
+	done     chan struct{}
 }
 
 // FaultInjection simulates a failing or slow disk under the commit
@@ -178,12 +189,12 @@ type Journal struct {
 // and returning an error, fails the segment write before any bytes
 // reach the file (the disk-full shape — ENOSPC surfaces before data
 // lands); SyncErr likewise fails the fsync after the write; SyncDelay
-// stalls each fsync by the returned duration (the slow-disk shape the
-// adaptive commit window absorbs). Either error takes the same sticky
-// degradation path as a real device failure: the segment truncates to
-// the durable watermark, tickets report the error, and the journal
-// refuses further appends until reopened. Used by chaos and recovery
-// tests; nil hooks are free.
+// stalls each fsync by the returned duration (the slow-disk shape:
+// appenders pile into the next batch while a commit is held). Either
+// error takes the same sticky degradation path as a real device
+// failure: the segment truncates to the durable watermark, tickets
+// report the error, and the journal refuses further appends until
+// reopened. Used by chaos and recovery tests; nil hooks are free.
 type FaultInjection struct {
 	WriteErr  func(n int) error
 	SyncErr   func() error
@@ -235,9 +246,6 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
-	}
-	if opts.CommitDelay == 0 {
-		opts.CommitDelay = defaultCommitDelay
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %v", err)
@@ -331,6 +339,8 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	if rec.Image != nil {
 		j.lastSnapshot = time.Unix(rec.Image.TakenUnix, 0)
 	}
+	j.unwaited = time.AfterFunc(time.Hour, j.wake)
+	j.unwaited.Stop()
 	go j.writer()
 	return j, rec, nil
 }
@@ -554,11 +564,11 @@ func (j *Journal) SetSnapshotSource(fn func() *StateImage) {
 }
 
 // Append implements Appender: it frames the record into the shared
-// write buffer and returns the current batch's ticket. The write and
-// its fsync happen on the writer goroutine, amortized over every
-// record enqueued while the previous commit was in flight. The record
-// is fully serialized before Append returns — callers may reuse or
-// mutate anything it references afterwards.
+// write buffer and returns the current batch's ticket without waking
+// the writer — the commit happens when someone waits for it (or after
+// unwaitedCommitAfter), amortized over every record enqueued by then.
+// The record is fully serialized before Append returns — callers may
+// reuse or mutate anything it references afterwards.
 func (j *Journal) Append(rec Record) Ticket {
 	payload, pooled, err := encodeRecord(rec)
 	if err != nil {
@@ -588,15 +598,21 @@ func (j *Journal) Append(rec Record) Ticket {
 		encodeBufs.Put(pooled)
 	}
 	if j.cur == nil {
-		j.cur = &batch{done: make(chan struct{})}
+		j.cur = &batch{j: j, done: make(chan struct{})}
+		j.unwaited.Reset(unwaitedCommitAfter)
 	}
 	t := Ticket{b: j.cur}
 	j.mu.Unlock()
+	return t
+}
+
+// wake asks the writer for a commit; a wake while one is in flight
+// queues the next.
+func (j *Journal) wake() {
 	select {
 	case j.kick <- struct{}{}:
 	default:
 	}
-	return t
 }
 
 func errTicket(err error) Ticket {
@@ -625,17 +641,14 @@ func (j *Journal) Sync() error {
 		return nil
 	}
 	if kick {
-		select {
-		case j.kick <- struct{}{}:
-		default:
-		}
+		j.wake()
 	}
 	return Ticket{b: b}.Wait()
 }
 
-// writer is the single goroutine owning the segment file: it drains
-// the shared buffer, commits it with one write + one fsync, settles
-// the batch, and compacts when the segment has grown past the
+// writer is the single goroutine owning the segment file: on each wake
+// it drains the shared buffer, commits it with one write + one fsync,
+// settles the batch, and compacts when the segment has grown past the
 // snapshot threshold.
 func (j *Journal) writer() {
 	defer close(j.done)
@@ -654,15 +667,6 @@ func (j *Journal) writer() {
 				ch <- fmt.Errorf("journal: closed")
 			}
 			return
-		}
-		// Group-commit window: let near-concurrent appenders join the
-		// batch before paying the sync. The window tracks the observed
-		// sync latency (bounded): the slower the device, the longer the
-		// writer collects — batch size scales with what each fsync
-		// costs, keeping total commit throughput roughly constant as
-		// disk latency moves.
-		if d := j.commitWindow(); d > 0 {
-			time.Sleep(d)
 		}
 		j.flush()
 		j.serveCompaction()
@@ -708,24 +712,6 @@ func (j *Journal) compactIfAble() error {
 	return j.writeSnapshot(next, source, true)
 }
 
-// commitWindow is the adaptive group-commit delay: at least the
-// configured CommitDelay, stretched up to the last observed fsync
-// latency (capped at 2ms) when the device is slow — batch size then
-// scales with what each fsync costs, keeping commit throughput roughly
-// constant as disk latency moves. Only the writer goroutine reads
-// lastSync, between commits.
-func (j *Journal) commitWindow() time.Duration {
-	d := j.opts.CommitDelay
-	if d <= 0 {
-		return d
-	}
-	const maxWindow = 2 * time.Millisecond
-	if j.lastSync > d {
-		d = min(j.lastSync, maxWindow)
-	}
-	return d
-}
-
 func (j *Journal) isCrashed() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -741,6 +727,7 @@ func (j *Journal) flush() {
 	buf, b, n := j.buf, j.cur, j.pending
 	j.buf, j.cur, j.pending = nil, nil, 0
 	j.inflight = b
+	j.unwaited.Stop()
 	fault := j.fault
 	j.mu.Unlock()
 	if b == nil {
@@ -754,7 +741,6 @@ func (j *Journal) flush() {
 		_, err = j.f.Write(buf)
 	}
 	if err == nil {
-		start := time.Now()
 		if fault != nil && fault.SyncDelay != nil {
 			time.Sleep(fault.SyncDelay())
 		}
@@ -762,7 +748,6 @@ func (j *Journal) flush() {
 		if err == nil && fault != nil && fault.SyncErr != nil {
 			err = fault.SyncErr()
 		}
-		j.lastSync = time.Since(start)
 	}
 	if err != nil {
 		err = fmt.Errorf("journal: commit failed: %v", err)
@@ -985,10 +970,7 @@ func (j *Journal) Snapshot() error {
 	}
 	j.compactReq = append(j.compactReq, done)
 	j.mu.Unlock()
-	select {
-	case j.kick <- struct{}{}:
-	default:
-	}
+	j.wake()
 	return <-done
 }
 

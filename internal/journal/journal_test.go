@@ -7,7 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dynautosar/internal/api"
 	"dynautosar/internal/core"
@@ -57,21 +59,41 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalGroupCommit: concurrent appenders share batches — every
-// record is durable, and the whole burst takes far fewer fsyncs than
-// records (the amortization the batch engine relies on).
+// TestJournalGroupCommit: appenders arriving while a commit is in
+// flight share the next one. The first commit is held in its fsync
+// until the other 127 appenders have enqueued, so the whole burst takes
+// exactly two commits — the amortization the batch engine relies on.
 func TestJournalGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
 	const n = 128
+	holding := make(chan struct{})
+	var enqueued sync.WaitGroup
+	enqueued.Add(n - 1)
+	var syncs atomic.Int32
+	j.SetFault(&FaultInjection{SyncDelay: func() time.Duration {
+		if syncs.Add(1) == 1 {
+			close(holding)
+			enqueued.Wait()
+		}
+		return 0
+	}})
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	appendWait := func(i int) {
+		defer wg.Done()
+		tk := j.Append(UserAddedRec(core.UserID(fmt.Sprintf("u%03d", i))))
+		if i > 0 {
+			enqueued.Done()
+		}
+		errs[i] = tk.Wait()
+	}
+	wg.Add(1)
+	go appendWait(0)
+	<-holding
+	for i := 1; i < n; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = j.Append(UserAddedRec(core.UserID(fmt.Sprintf("u%03d", i)))).Wait()
-		}(i)
+		go appendWait(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -79,13 +101,83 @@ func TestJournalGroupCommit(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if st := j.Stats(); st.Appended != n {
-		t.Fatalf("appended %d, want %d", st.Appended, n)
+	if st := j.Stats(); st.Appended != n || st.Flushes != 2 {
+		t.Fatalf("%d records in %d commits, want %d in 2", st.Appended, st.Flushes, n)
 	}
 	j.Crash()
 	_, rec := mustOpen(t, dir, Options{})
 	if len(rec.Records) != n {
 		t.Fatalf("recovered %d records, want %d", len(rec.Records), n)
+	}
+}
+
+// pinUnwaitedCommitAfter sets the flush bound for records nobody waits
+// for, for the duration of the test.
+func pinUnwaitedCommitAfter(t *testing.T, d time.Duration) {
+	old := unwaitedCommitAfter
+	unwaitedCommitAfter = d
+	t.Cleanup(func() { unwaitedCommitAfter = old })
+}
+
+// TestCommitWaitedIgnoresBound: a waited record commits as soon as the
+// writer is free, however far off the unwaited-record bound is.
+func TestCommitWaitedIgnoresBound(t *testing.T) {
+	pinUnwaitedCommitAfter(t, time.Hour)
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	defer j.Close()
+	if err := j.Append(UserAddedRec("u")).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Appended != 1 || st.Flushes != 1 {
+		t.Fatalf("%d records in %d commits, want 1 in 1", st.Appended, st.Flushes)
+	}
+}
+
+// TestCommitUnwaitedRidesNextSync: records nobody waits for do not
+// commit on their own; the next Sync commits all of them in one flush.
+func TestCommitUnwaitedRidesNextSync(t *testing.T) {
+	pinUnwaitedCommitAfter(t, time.Hour)
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	defer j.Close()
+	const n = 16
+	for i := 0; i < n; i++ {
+		j.Append(UserAddedRec(core.UserID(fmt.Sprintf("u%d", i))))
+	}
+	// Give a writer that commits unasked time to do so; nothing here
+	// depends on how long that takes.
+	time.Sleep(10 * time.Millisecond)
+	if st := j.Stats(); st.Flushes != 0 {
+		t.Fatalf("unwaited records committed on their own: %+v", st)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Appended != n || st.Flushes != 1 {
+		t.Fatalf("%d records in %d commits, want %d in 1", st.Appended, st.Flushes, n)
+	}
+}
+
+// TestCommitUnwaitedAfterBound: with no waited commit to ride along
+// with, unwaited records still become durable once the bound passes.
+func TestCommitUnwaitedAfterBound(t *testing.T) {
+	pinUnwaitedCommitAfter(t, time.Millisecond)
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{})
+	synced := make(chan struct{})
+	var once sync.Once
+	j.SetFault(&FaultInjection{SyncErr: func() error {
+		once.Do(func() { close(synced) })
+		return nil
+	}})
+	const n = 4
+	for i := 0; i < n; i++ {
+		j.Append(UserAddedRec(core.UserID(fmt.Sprintf("u%d", i))))
+	}
+	<-synced
+	j.Crash()
+	_, rec := mustOpen(t, dir, Options{})
+	if got := userIDs(rec.Records); len(got) != n {
+		t.Fatalf("recovered %v, want all %d unwaited records", got, n)
 	}
 }
 

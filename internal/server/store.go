@@ -61,8 +61,8 @@ type Store struct {
 	// only go on the wire for durable rows. The void acknowledgement-
 	// path mutations (acks, removals, plugin drops) enqueue without
 	// waiting: the vehicle holds the ground truth they mirror, their
-	// records still commit with the next group commit (≤ one commit
-	// window later), and a crash inside that window merely under-reports
+	// records still commit with the next group commit (at most 2ms
+	// later), and a crash inside that window merely under-reports
 	// — recovery shows an install unacked that the vehicle acked, never
 	// the reverse. Blocking the per-vehicle ECM read loop one fsync per
 	// ack would put two more commit hops on every deploy's critical
